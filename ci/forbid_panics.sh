@@ -28,7 +28,6 @@ declare -A ALLOW=(
   [crates/frontend/src/rename.rs]=3
   [crates/frontend/src/lift.rs]=1
   [crates/frontend/src/lower.rs]=2
-  # Specializer: arity/shape checked by the caller on the same path.
   # Syntax: closed enum dispatch and the worker-thread spawn.
   [crates/syntax/src/value.rs]=2
   [crates/syntax/src/cs.rs]=1

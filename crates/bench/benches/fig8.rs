@@ -40,8 +40,7 @@ fn bench_normal_compilation(c: &mut Criterion) {
                             pg.cogen(&p, entry, &Division::all_dynamic(2))
                                 .expect("cogen")
                                 .annotated()
-                                .defs
-                                .len(),
+                                .map_or(0, |a| a.defs.len()),
                         );
                     }
                     t0.elapsed()

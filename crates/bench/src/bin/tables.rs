@@ -134,8 +134,7 @@ fn fig8() {
                 pg2.cogen(&p2, entry, &Division::all_dynamic(2))
                     .expect("cogen")
                     .annotated()
-                    .defs
-                    .len(),
+                    .map_or(0, |a| a.defs.len()),
             );
         });
         let g = s.genext_all_dynamic();
@@ -209,17 +208,17 @@ fn trajectories() {
             "BENCH_spec.json",
             "cold-path phase split (MIXWELL)",
             "`specialize` is the phase to watch (see DESIGN.md §10); \
-             `cold-genext` is the same request served by the *compiled* \
-             generating extension, with `genext-build` its one-time \
-             staging cost — the CI floor holds `cold-genext` at ≥ 2x \
-             `specialize` (see DESIGN.md §13).",
+             `cold-genext` is the same request to object code as a serving \
+             fill runs it, with `genext-build` the one-time staging cost \
+             — the CI floor holds `cold-genext` at ≥ 2x `walker-oracle`, \
+             the machine's test oracle (see DESIGN.md §13).",
         ),
         (
             "BENCH_serve.json",
             "serving throughput (24-request batches)",
             "`cold/1-thread` is the cold-path acceptance row; \
-             `cold-genext/1-thread` drains the same batch as misses on a \
-             *registered* program, served by its compiled gen-ext; \
+             `cold-genext/1-thread` sends the same batch one by one as \
+             misses on a *registered*, already staged program; \
              `tier0-first-touch` and `post-promotion` bracket the tiered \
              pipeline (see DESIGN.md §15).",
         ),

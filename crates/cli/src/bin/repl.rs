@@ -21,11 +21,9 @@
 //! * `,spec f S D …` — specialize `f` under the given division (then enter
 //!   the static arguments on the next line) and install the residual
 //!   definitions;
-//! * `,genext f S D …` — like `,spec`, but through the *compiled*
-//!   generating extension: `f`'s gen-ext is staged to bytecode (the
-//!   artifact is reported — defs, ops, wire bytes) and specialization
-//!   runs that bytecode on the gen-ext machine. The residual program is
-//!   bit-identical to `,spec`'s; only the machinery differs;
+//! * `,genext f S D …` — `,spec` that also reports the compiled
+//!   generating extension it runs: `f`'s gen-ext staged to bytecode
+//!   (defs, ops, wire bytes). The residual program is `,spec`'s;
 //! * `,redefine (define (f …) …)` — replace `f` as a new *generation*:
 //!   every residual definition previously derived from `f` by `,spec` is
 //!   dropped (specialized code is only valid relative to the exact source
@@ -157,13 +155,11 @@ impl Repl {
             self.disassemble(rest.trim());
             return true;
         }
-        if let Some(rest) = line.strip_prefix(",spec ") {
-            self.specialize(rest.trim());
-            return true;
-        }
-        if let Some(rest) = line.strip_prefix(",genext ") {
-            self.genext(rest.trim());
-            return true;
+        for cmd in [",spec", ",genext"] {
+            if let Some(rest) = line.strip_prefix(cmd).and_then(|r| r.strip_prefix(' ')) {
+                self.specialize(cmd, rest.trim());
+                return true;
+            }
         }
         match reader::read_one(line) {
             Err(e) => println!("read error: {e}"),
@@ -368,49 +364,30 @@ impl Repl {
         println!(";; installed {} definitions", residual.defs.len());
     }
 
-    fn specialize(&mut self, spec: &str) {
-        // ,spec f S D …  — division letters for each parameter.
-        let Some((name, division, statics)) = self.read_spec_request(",spec", spec) else {
+    /// `,spec f S D …` — division letters for each parameter. `,genext`
+    /// is the same command that first stages the generating extension
+    /// and reports the artifact (defs, ops, wire bytes).
+    fn specialize(&mut self, cmd: &str, spec: &str) {
+        let Some((name, division, statics)) = self.read_spec_request(cmd, spec) else {
             return;
         };
         let result = Pgg::new()
             .parse(&self.program_text())
             .and_then(|p| Pgg::new().cogen(&p, &name, &division))
-            .and_then(|g| g.specialize_source_optimized(&statics));
+            .and_then(|g| {
+                if cmd == ",genext" {
+                    let staged = g.staged()?;
+                    println!(
+                        ";; genext: compiled ({} defs, {} ops, {} bytes)",
+                        staged.defs.len(),
+                        staged.code.len(),
+                        g.to_bytes()?.len()
+                    );
+                }
+                g.specialize_source_optimized(&statics)
+            });
         match result {
             Ok(residual) => self.install_residual(Symbol::new(&name), &residual),
-            Err(e) => println!("error: {e}"),
-        }
-    }
-
-    /// `,genext f S D …` — the compiled path of `,spec`: stage `f`'s
-    /// generating extension to gen-ext bytecode, report the artifact,
-    /// then specialize by running that bytecode on the gen-ext machine.
-    fn genext(&mut self, spec: &str) {
-        let Some((name, division, statics)) = self.read_spec_request(",genext", spec) else {
-            return;
-        };
-        let compiled = Pgg::new()
-            .parse(&self.program_text())
-            .and_then(|p| Pgg::new().cogen(&p, &name, &division))
-            .and_then(|g| g.compile());
-        let compiled = match compiled {
-            Ok(c) => c,
-            Err(e) => {
-                println!("error: {e}");
-                return;
-            }
-        };
-        println!(
-            ";; genext: compiled ({} defs, {} ops, {} bytes)",
-            compiled.staged().defs.len(),
-            compiled.staged().code.len(),
-            compiled.to_bytes().len()
-        );
-        match compiled.specialize_source(&statics) {
-            Ok(residual) => {
-                self.install_residual(Symbol::new(&name), &two4one::anf::optimize(&residual))
-            }
             Err(e) => println!("error: {e}"),
         }
     }

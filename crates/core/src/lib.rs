@@ -49,6 +49,7 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
+use two4one_anf::build::CodeBuilder;
 
 pub use two4one_anf::{self as anf, Program as AnfProgram, SourceBuilder};
 pub use two4one_bta::{Division, Options as BtaOptions};
@@ -374,10 +375,11 @@ impl Pgg {
             let mut options = self.spec_options.clone();
             options.limits = self.limits.clone();
             Ok(GenExt {
-                aprog,
+                aprog: Some(Arc::new(aprog)),
                 entry: Symbol::new(entry),
                 options,
                 identity: Arc::new(OnceLock::new()),
+                staged: Arc::new(OnceLock::new()),
             })
         })
     }
@@ -386,20 +388,42 @@ impl Pgg {
 /// A generating extension: apply it to static inputs to obtain residual
 /// programs — as source text (the classic PGG) or directly as object code
 /// (the fused run-time code generator).
+///
+/// Every specialization runs the gen-ext machine over the extension's
+/// *staged* program — its compiled form, the second Futamura projection's
+/// product. Staging happens lazily and at most once: on the first
+/// specialization, or eagerly through [`GenExt::compile`]. Every clone
+/// and every [`GenExt::with_options`] copy shares the one staged program.
+/// Its `.t4og` wire form ([`GenExt::to_bytes`], [`GenExt::from_bytes`])
+/// is the extension's serialized form, for cross-process warm starts.
 #[derive(Debug, Clone)]
 pub struct GenExt {
-    aprog: AProgram,
+    /// The annotated program; `None` for an extension decoded from its
+    /// `.t4og` form, which carries the staged program only.
+    aprog: Option<Arc<AProgram>>,
     entry: Symbol,
     options: SpecOptions,
     /// Lazily rendered cache identity, shared by all clones of this
     /// extension (see [`GenExt::cache_identity`]).
     identity: Arc<OnceLock<Arc<str>>>,
+    /// The staged program (or the staging error), filled at most once
+    /// and shared by all clones and option variants.
+    staged: Arc<OnceLock<Result<Staged, PeError>>>,
+}
+
+/// A staged program and its wire form.
+#[derive(Debug)]
+struct Staged {
+    program: Arc<GenProgram>,
+    /// The `.t4og` wire form, encoded on first request.
+    bytes: OnceLock<Box<[u8]>>,
 }
 
 impl GenExt {
-    /// The annotated program (for inspection).
-    pub fn annotated(&self) -> &AProgram {
-        &self.aprog
+    /// The annotated program (for inspection); `None` for an extension
+    /// decoded from its wire form.
+    pub fn annotated(&self) -> Option<&AProgram> {
+        self.aprog.as_deref()
     }
 
     /// The entry point.
@@ -410,12 +434,195 @@ impl GenExt {
     /// The cache identity of this generating extension: the annotated
     /// program rendered to text plus its specialization options (two
     /// extensions differing only in, say, fuel must not share residual
-    /// code). Rendered **once** and shared by every clone, so a serving
-    /// layer can key its result cache per request without re-rendering
-    /// the program each time.
+    /// code). An extension decoded from its wire form has no annotated
+    /// program; it is identified by a digest of the wire form instead.
+    /// Rendered **once** and shared by every clone, so a serving layer can
+    /// key its result cache per request without re-rendering the program
+    /// each time.
     pub fn cache_identity(&self) -> &str {
-        self.identity
-            .get_or_init(|| format!("{}\u{0}{:?}", self.aprog, self.options).into())
+        self.identity.get_or_init(|| {
+            let program = match &self.aprog {
+                Some(aprog) => aprog.to_string(),
+                // FNV-1a over the wire form, which a decoded extension
+                // always carries.
+                None => {
+                    let h = self
+                        .to_bytes()
+                        .unwrap_or_default()
+                        .iter()
+                        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+                        });
+                    format!("genext:{h:016x}")
+                }
+            };
+            format!("{program}\u{0}{:?}", self.options).into()
+        })
+    }
+
+    /// The limits and fallback setting this generating extension runs
+    /// under.
+    pub fn options(&self) -> &SpecOptions {
+        &self.options
+    }
+
+    /// A copy of this generating extension running under different
+    /// options (limits / fallback). The annotated and the staged program
+    /// are shared: neither binding-time analysis nor staging is redone.
+    pub fn with_options(&self, options: SpecOptions) -> GenExt {
+        GenExt {
+            aprog: self.aprog.clone(),
+            entry: self.entry,
+            options,
+            // Fresh cell: options are part of the identity.
+            identity: Arc::new(OnceLock::new()),
+            staged: self.staged.clone(),
+        }
+    }
+
+    /// Stages the annotated program now, unless this extension (or any
+    /// clone of it) already has. Returns `true` iff this call did the
+    /// staging — at most one call per extension ever does, however many
+    /// threads race.
+    ///
+    /// # Errors
+    ///
+    /// Fails on staging errors (malformed annotated program); the error
+    /// is kept, so later calls fail the same way without re-staging.
+    pub fn stage(&self) -> Result<bool, Error> {
+        self.staged_cell().map(|(_, built)| built)
+    }
+
+    /// The staged program, staged first unless a clone already has; the
+    /// flag is `true` iff this call did the staging.
+    fn staged_cell(&self) -> Result<(&Staged, bool), Error> {
+        let mut built = false;
+        let cell = catching(|| {
+            Ok(self.staged.get_or_init(|| {
+                built = true;
+                let _span = obs::Span::enter(obs::Phase::GenextBuild);
+                let program = match &self.aprog {
+                    Some(aprog) => two4one_pe::stage(aprog)?,
+                    None => return Err(PeError::Internal("no annotated program".into())),
+                };
+                genext_metrics().builds.inc();
+                Ok(Staged {
+                    program,
+                    bytes: OnceLock::new(),
+                })
+            }))
+        })?;
+        match cell {
+            Ok(staged) => Ok((staged, built)),
+            Err(e) => Err(Error::Pe(e.clone())),
+        }
+    }
+
+    /// True once the staged program exists (built, or decoded from a
+    /// wire form).
+    pub fn is_staged(&self) -> bool {
+        matches!(self.staged.get(), Some(Ok(_)))
+    }
+
+    /// **Compiles** this generating extension: stages the annotated
+    /// program into the flat gen-ext IR now instead of on the first
+    /// specialization, and returns the extension (sharing the staged
+    /// program with `self`).
+    ///
+    /// # Errors
+    ///
+    /// Fails on staging errors (malformed annotated program).
+    pub fn compile(&self) -> Result<GenExt, Error> {
+        self.stage()?;
+        Ok(self.clone())
+    }
+
+    /// The staged program (staging it first if need be).
+    ///
+    /// # Errors
+    ///
+    /// Fails on staging errors.
+    pub fn staged(&self) -> Result<&Arc<GenProgram>, Error> {
+        Ok(&self.staged_cell()?.0.program)
+    }
+
+    /// The `.t4og` wire form of the staged program (staging it first if
+    /// need be).
+    ///
+    /// # Errors
+    ///
+    /// Fails on staging errors.
+    pub fn to_bytes(&self) -> Result<&[u8], Error> {
+        Ok(self.staged_cell()?.0.bytes(&self.entry))
+    }
+
+    /// Decodes a generating extension from its `.t4og` wire form, to run
+    /// under `options`. It is staged from the start and has no annotated
+    /// program.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed or corrupt input (checksum, range checks).
+    pub fn from_bytes(bytes: &[u8], options: SpecOptions) -> Result<GenExt, ObjError> {
+        let (program, entry) = decode_genext(bytes)?;
+        Ok(GenExt {
+            aprog: None,
+            entry,
+            options,
+            identity: Arc::new(OnceLock::new()),
+            staged: Arc::new(OnceLock::from(Ok(Staged {
+                program,
+                bytes: OnceLock::from(Box::from(bytes)),
+            }))),
+        })
+    }
+
+    /// Fills this extension's staged program from a `.t4og` wire form of
+    /// the same annotated program, so it never stages itself — a
+    /// cross-process warm start. Returns `false` (and keeps what it has)
+    /// when the extension is already staged. The caller vouches that the
+    /// bytes were staged from this extension's program; a serving layer
+    /// checks the cache identity recorded with them.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed or corrupt input.
+    pub fn restore_staged(&self, bytes: &[u8]) -> Result<bool, ObjError> {
+        if self.staged.get().is_some() {
+            return Ok(false);
+        }
+        let (program, _) = decode_genext(bytes)?;
+        Ok(self
+            .staged
+            .set(Ok(Staged {
+                program,
+                bytes: OnceLock::from(Box::from(bytes)),
+            }))
+            .is_ok())
+    }
+
+    /// Runs the gen-ext machine through `builder` under `options` and an
+    /// optional caller-side cancel token.
+    fn run<B: CodeBuilder>(
+        &self,
+        statics: &[Datum],
+        builder: B,
+        options: &SpecOptions,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(B::Program, SpecStats), Error> {
+        catching(|| {
+            let staged = self.staged()?;
+            let _span = obs::Span::enter(obs::Phase::Specialize);
+            let mut deadline = options.limits.deadline();
+            if let Some(token) = cancel {
+                deadline = deadline.with_cancel(token.clone());
+            }
+            let (prog, stats) =
+                two4one_pe::run_genext(staged, &self.entry, statics, builder, options, deadline)?;
+            genext_metrics().runs.inc();
+            note_spec_stats(&stats);
+            Ok((prog, stats))
+        })
     }
 
     /// Specializes to residual **source** (ANF Scheme).
@@ -436,18 +643,7 @@ impl GenExt {
         &self,
         statics: &[Datum],
     ) -> Result<(AnfProgram, SpecStats), Error> {
-        catching(|| {
-            let _span = obs::Span::enter(obs::Phase::Specialize);
-            let (prog, stats) = two4one_pe::specialize(
-                &self.aprog,
-                &self.entry,
-                statics,
-                SourceBuilder::new(),
-                &self.options,
-            )?;
-            note_spec_stats(&stats);
-            Ok((prog, stats))
-        })
+        self.run(statics, SourceBuilder::new(), &self.options, None)
     }
 
     /// Specializes to residual source and then runs the ANF optimizer
@@ -500,255 +696,30 @@ impl GenExt {
         options: &SpecOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<(Image, SpecStats), Error> {
-        catching(|| {
-            let _span = obs::Span::enter(obs::Phase::Specialize);
-            let mut deadline = options.limits.deadline();
-            if let Some(token) = cancel {
-                deadline = deadline.with_cancel(token.clone());
-            }
-            let (image, stats) = two4one_pe::specialize_with_deadline(
-                &self.aprog,
-                &self.entry,
-                statics,
-                ObjectBuilder::new(),
-                options,
-                deadline,
-            )?;
-            note_spec_stats(&stats);
-            Ok((image?, stats))
-        })
-    }
-
-    /// The limits and fallback setting this generating extension runs
-    /// under.
-    pub fn options(&self) -> &SpecOptions {
-        &self.options
-    }
-
-    /// A copy of this generating extension running under different
-    /// options (limits / fallback). The annotated program is shared work:
-    /// binding-time analysis is *not* redone.
-    pub fn with_options(&self, options: SpecOptions) -> GenExt {
-        GenExt {
-            aprog: self.aprog.clone(),
-            entry: self.entry,
-            options,
-            // Fresh cell: options are part of the identity.
-            identity: Arc::new(OnceLock::new()),
-        }
-    }
-
-    /// **Compiles** this generating extension: stages the annotated
-    /// program into the flat gen-ext IR once, yielding a
-    /// [`CompiledGenExt`] whose specialization entry points run the
-    /// staged bytecode directly (no per-run annotation walk). The
-    /// compiled form produces residual programs **bit-identical** to this
-    /// extension's and can be serialized (`.t4og`) for cross-process warm
-    /// starts.
-    ///
-    /// # Errors
-    ///
-    /// Fails on staging errors (malformed annotated program).
-    pub fn compile(&self) -> Result<CompiledGenExt, Error> {
-        catching(|| {
-            let _span = obs::Span::enter(obs::Phase::GenextBuild);
-            let staged = two4one_pe::stage(&self.aprog)?;
-            genext_metrics().builds.inc();
-            Ok(CompiledGenExt::assemble(
-                staged,
-                self.entry,
-                self.options.clone(),
-            ))
-        })
+        let (image, stats) = self.run(statics, ObjectBuilder::new(), options, cancel)?;
+        Ok((image?, stats))
     }
 }
 
-/// A *compiled* generating extension: the staged-code IR of a [`GenExt`],
-/// executed as bytecode by the gen-ext machine. Same contract as
-/// [`GenExt`] — apply to static inputs, get a residual program through
-/// either backend, bit-identical output — minus the per-run interpretive
-/// overhead, plus serialization for cross-process warm starts.
-#[derive(Debug, Clone)]
-pub struct CompiledGenExt {
-    staged: Arc<GenProgram>,
-    entry: Symbol,
-    options: SpecOptions,
-    /// The `.t4og` wire form, encoded once at assembly.
-    bytes: Arc<[u8]>,
-    /// Cache identity: a digest of the wire form plus the options, so it
-    /// is stable across processes (a snapshot-restored gen-ext hits the
-    /// same result-cache entries as a freshly compiled one).
-    identity: Arc<str>,
-}
-
-impl CompiledGenExt {
-    fn assemble(staged: Arc<GenProgram>, entry: Symbol, options: SpecOptions) -> CompiledGenExt {
-        let bytes: Arc<[u8]> = encode_genext(&staged, &entry).into();
-        // FNV-1a over the canonical wire form.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in bytes.iter() {
-            h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let identity: Arc<str> = format!("genext:{h:016x}\u{0}{options:?}").into();
-        CompiledGenExt {
-            staged,
-            entry,
-            options,
-            bytes,
-            identity,
-        }
-    }
-
-    /// The staged program (for inspection).
-    pub fn staged(&self) -> &Arc<GenProgram> {
-        &self.staged
-    }
-
-    /// The entry point.
-    pub fn entry(&self) -> &Symbol {
-        &self.entry
-    }
-
-    /// The limits and fallback setting this gen-ext runs under.
-    pub fn options(&self) -> &SpecOptions {
-        &self.options
-    }
-
-    /// The cache identity (see [`GenExt::cache_identity`]): derived from
-    /// the serialized staged program, so it is stable across processes.
-    pub fn cache_identity(&self) -> &str {
-        &self.identity
-    }
-
-    /// A copy running under different options (limits / fallback). The
-    /// staged program is shared; nothing is recompiled.
-    pub fn with_options(&self, options: SpecOptions) -> CompiledGenExt {
-        CompiledGenExt::assemble(self.staged.clone(), self.entry, options)
-    }
-
-    /// The `.t4og` wire form of the staged program.
-    pub fn to_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Decodes a gen-ext from its `.t4og` wire form, to run under
-    /// `options`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed or corrupt input (checksum, range checks).
-    pub fn from_bytes(bytes: &[u8], options: SpecOptions) -> Result<CompiledGenExt, ObjError> {
-        let (staged, entry) = decode_genext(bytes)?;
-        Ok(CompiledGenExt::assemble(staged, entry, options))
-    }
-
-    /// Specializes to residual **source** (ANF Scheme).
-    ///
-    /// # Errors
-    ///
-    /// Fails on specialization errors (see [`PeError`]).
-    pub fn specialize_source(&self, statics: &[Datum]) -> Result<AnfProgram, Error> {
-        Ok(self.specialize_source_with_stats(statics)?.0)
-    }
-
-    /// Like [`CompiledGenExt::specialize_source`], also returning
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// Fails on specialization errors.
-    pub fn specialize_source_with_stats(
-        &self,
-        statics: &[Datum],
-    ) -> Result<(AnfProgram, SpecStats), Error> {
-        catching(|| {
-            let _span = obs::Span::enter(obs::Phase::GenextRun);
-            let (prog, stats) = two4one_pe::run_genext(
-                &self.staged,
-                &self.entry,
-                statics,
-                SourceBuilder::new(),
-                &self.options,
-                self.options.limits.deadline(),
-            )?;
-            genext_metrics().runs.inc();
-            note_spec_stats(&stats);
-            Ok((prog, stats))
-        })
-    }
-
-    /// Specializes **directly to object code** — the composed system of
-    /// the paper, driven by the compiled gen-ext.
-    ///
-    /// # Errors
-    ///
-    /// Fails on specialization or code-generation errors.
-    pub fn specialize_object(&self, statics: &[Datum]) -> Result<Image, Error> {
-        Ok(self.specialize_object_with_stats(statics)?.0)
-    }
-
-    /// Like [`CompiledGenExt::specialize_object`], also returning
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// Fails on specialization or code-generation errors.
-    pub fn specialize_object_with_stats(
-        &self,
-        statics: &[Datum],
-    ) -> Result<(Image, SpecStats), Error> {
-        self.specialize_object_governed(statics, &self.options, None)
-    }
-
-    /// The fully-governed object-code path (see
-    /// [`GenExt::specialize_object_governed`]): explicit options and an
-    /// optional [`CancelToken`] checked cooperatively mid-run.
-    ///
-    /// # Errors
-    ///
-    /// Fails on specialization or code-generation errors; a fired token
-    /// surfaces as `Error::Pe(PeError::Limit(..))` with kind `Cancelled`.
-    pub fn specialize_object_governed(
-        &self,
-        statics: &[Datum],
-        options: &SpecOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Image, SpecStats), Error> {
-        catching(|| {
-            let _span = obs::Span::enter(obs::Phase::GenextRun);
-            let mut deadline = options.limits.deadline();
-            if let Some(token) = cancel {
-                deadline = deadline.with_cancel(token.clone());
-            }
-            let (image, stats) = two4one_pe::run_genext(
-                &self.staged,
-                &self.entry,
-                statics,
-                ObjectBuilder::new(),
-                options,
-                deadline,
-            )?;
-            genext_metrics().runs.inc();
-            note_spec_stats(&stats);
-            Ok((image?, stats))
-        })
+impl Staged {
+    fn bytes(&self, entry: &Symbol) -> &[u8] {
+        self.bytes
+            .get_or_init(|| encode_genext(&self.program, entry).into())
     }
 }
 
-/// Writes a compiled generating extension to a `.t4og` file.
+/// Writes a generating extension to a `.t4og` file (staging it first if
+/// need be).
 ///
 /// # Errors
 ///
-/// Fails on I/O errors.
-pub fn save_genext(
-    genext: &CompiledGenExt,
-    path: impl AsRef<std::path::Path>,
-) -> std::io::Result<()> {
-    std::fs::write(path, genext.to_bytes())
+/// Fails on staging or I/O errors.
+pub fn save_genext(genext: &GenExt, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+    std::fs::write(path, genext.to_bytes().map_err(std::io::Error::other)?)
 }
 
-/// Reads a compiled generating extension back from a `.t4og` file, to run
-/// under `options`.
+/// Reads a generating extension back from a `.t4og` file, to run under
+/// `options`.
 ///
 /// # Errors
 ///
@@ -756,9 +727,9 @@ pub fn save_genext(
 pub fn load_genext(
     path: impl AsRef<std::path::Path>,
     options: SpecOptions,
-) -> std::io::Result<CompiledGenExt> {
+) -> std::io::Result<GenExt> {
     let bytes = std::fs::read(path)?;
-    CompiledGenExt::from_bytes(&bytes, options)
+    GenExt::from_bytes(&bytes, options)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
@@ -950,7 +921,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Pgg>();
     assert_send_sync::<GenExt>();
-    assert_send_sync::<CompiledGenExt>();
     assert_send_sync::<Image>();
     assert_send_sync::<Datum>();
     assert_send_sync::<AnfProgram>();
@@ -1018,20 +988,80 @@ mod tests {
             .cogen(&p, "power", &Division::new([BT::Dynamic, BT::Static]))
             .unwrap();
         let compiled = genext.compile().unwrap();
+        assert!(genext.is_staged(), "compile stages the shared program");
         for n in 0..6 {
             let a = genext.specialize_object(&[Datum::Int(n)]).unwrap();
             let b = compiled.specialize_object(&[Datum::Int(n)]).unwrap();
             assert_eq!(encode_image(&a), encode_image(&b), "n={n}");
         }
-        // Wire round trip: same identity, same output.
-        let restored =
-            CompiledGenExt::from_bytes(compiled.to_bytes(), compiled.options().clone()).unwrap();
-        assert_eq!(restored.cache_identity(), compiled.cache_identity());
+        // Wire round trip: same wire form, same output, and one identity
+        // per wire form.
+        let bytes = compiled.to_bytes().unwrap();
+        let restored = GenExt::from_bytes(bytes, compiled.options().clone()).unwrap();
+        assert_eq!(restored.to_bytes().unwrap(), bytes);
+        assert!(restored.annotated().is_none());
+        let again = GenExt::from_bytes(bytes, compiled.options().clone()).unwrap();
+        assert_eq!(restored.cache_identity(), again.cache_identity());
         let a = compiled.specialize_object(&[Datum::Int(3)]).unwrap();
         let b = restored.specialize_object(&[Datum::Int(3)]).unwrap();
         assert_eq!(encode_image(&a), encode_image(&b));
         let out = run_image(&b, "power", &[Datum::Int(2)]).unwrap();
         assert_eq!(out.value, Datum::Int(8));
+    }
+
+    #[test]
+    fn staging_runs_once_for_all_clones_and_option_variants() {
+        let pgg = Pgg::new();
+        let p = pgg
+            .parse("(define (power x n) (if (= n 0) 1 (* x (power x (- n 1)))))")
+            .unwrap();
+        let genext = pgg
+            .cogen(&p, "power", &Division::new([BT::Dynamic, BT::Static]))
+            .unwrap();
+        assert!(!genext.is_staged(), "cogen does not stage");
+        let builds = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let ext = if t % 2 == 0 {
+                    genext.clone()
+                } else {
+                    genext.with_options(SpecOptions::strict(Limits::default()))
+                };
+                let builds = &builds;
+                s.spawn(move || {
+                    if ext.stage().unwrap() {
+                        builds.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    }
+                    let image = ext.specialize_object(&[Datum::Int(t as i64)]).unwrap();
+                    let out = run_image(&image, "power", &[Datum::Int(2)]).unwrap();
+                    assert_eq!(out.value, Datum::Int(1 << t));
+                });
+            }
+        });
+        assert_eq!(builds.into_inner(), 1, "staged more than once");
+        assert!(!genext.stage().unwrap(), "a later call finds it staged");
+        assert!(Arc::ptr_eq(
+            genext.staged().unwrap(),
+            genext.with_options(SpecOptions::new()).staged().unwrap()
+        ));
+    }
+
+    #[test]
+    fn restore_staged_fills_an_unstaged_extension() {
+        let pgg = Pgg::new();
+        let p = pgg.parse("(define (f x y) (+ x y))").unwrap();
+        let div = Division::new([BT::Static, BT::Dynamic]);
+        let built = pgg.cogen(&p, "f", &div).unwrap().compile().unwrap();
+        let fresh = pgg.cogen(&p, "f", &div).unwrap();
+        assert!(fresh.restore_staged(built.to_bytes().unwrap()).unwrap());
+        assert!(!fresh.stage().unwrap(), "restored, so never staged");
+        assert!(!fresh.restore_staged(built.to_bytes().unwrap()).unwrap());
+        assert!(fresh.restore_staged(b"garbage").is_ok(), "already staged");
+        let other = pgg.cogen(&p, "f", &div).unwrap();
+        assert!(other.restore_staged(b"garbage").is_err());
+        let a = built.specialize_source(&[Datum::Int(1)]).unwrap();
+        let b = fresh.specialize_source(&[Datum::Int(1)]).unwrap();
+        assert_eq!(a.to_source(), b.to_source());
     }
 
     #[test]

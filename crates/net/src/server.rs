@@ -563,11 +563,14 @@ fn serve_conn(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWatc
 }
 
 /// What a successful request produced, carried without copying: gen-ext
-/// payloads stay behind their cache `Arc` until the socket write.
+/// payloads stay inside the registration's shared staged program until
+/// the socket write.
 enum Payload {
     Empty,
     Bytes(Vec<u8>),
-    GenExt(Arc<two4one::CompiledGenExt>),
+    /// A staged generating extension (only staged ones are ever carried,
+    /// so its wire form is always there).
+    GenExt(two4one::GenExt),
 }
 
 impl Payload {
@@ -575,7 +578,7 @@ impl Payload {
         match self {
             Payload::Empty => &[],
             Payload::Bytes(b) => b,
-            Payload::GenExt(g) => g.to_bytes(),
+            Payload::GenExt(g) => g.to_bytes().unwrap_or_default(),
         }
     }
 }

@@ -7,6 +7,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -171,10 +172,7 @@ fn binary_protocol_round_trips_and_survives_unknown_types() {
         &spec_frame("power", "7", wire::WANT_GENEXT),
     );
     assert_eq!(genext.ftype, wire::RESP_GENEXT);
-    assert!(
-        two4one::CompiledGenExt::from_bytes(&genext.payload, two4one::SpecOptions::default())
-            .is_ok()
-    );
+    assert!(two4one::GenExt::from_bytes(&genext.payload, two4one::SpecOptions::default()).is_ok());
 
     // A well-formed frame of an unknown type gets a typed error and the
     // connection loop stays usable — the live half of the corruption
@@ -394,8 +392,16 @@ fn http_endpoints_serve_health_metrics_stats_and_spec() {
 fn tenant_auth_and_fair_share_quota() {
     let latch = Arc::new(Latch::default());
     let hook_latch = Arc::clone(&latch);
+    let fills = Arc::new(AtomicUsize::new(0));
+    let hook_fills = Arc::clone(&fills);
     let service = Arc::new(SpecService::with_config(ServeConfig {
-        fill_hook: Some(FillHook::new(move || hook_latch.wait())),
+        // Only the first fill (alpha's parked request) waits on the
+        // latch; every later fill runs straight through.
+        fill_hook: Some(FillHook::new(move || {
+            if hook_fills.fetch_add(1, Ordering::SeqCst) == 0 {
+                hook_latch.wait();
+            }
+        })),
         ..ServeConfig::default()
     }));
     {
@@ -470,18 +476,26 @@ fn tenant_auth_and_fair_share_quota() {
     assert!(over.contains("retry_after_ms"), "{over}");
 
     // A different tenant is not starved by alpha's noise: beta passes the
-    // tenant layer (its fill may still time out on the latch everyone
-    // shares, but it is never 401'd or quota-bounced).
+    // tenant layer and gets a complete answer while alpha's fill is still
+    // parked — never 401'd or quota-bounced.
     let beta = http_request(
         &server,
         "POST",
         "/spec",
         r#"{"name": "power", "statics": "5", "token": "tok-b", "want": "meta", "deadline_ms": 300}"#,
     );
+    assert!(beta.starts_with("HTTP/1.1 "), "no response: {beta:?}");
     assert!(
         !beta.starts_with("HTTP/1.1 401") && !beta.starts_with("HTTP/1.1 429"),
         "{beta}"
     );
+    let (head, body) = beta.split_once("\r\n\r\n").expect("complete head");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("content length");
+    assert_eq!(body.len(), length, "truncated body: {beta}");
 
     latch.release();
     let parked_result = parked.join().expect("parked thread");

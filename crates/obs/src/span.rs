@@ -44,15 +44,13 @@ pub enum Phase {
     VmExec,
     /// One serving-layer request end to end.
     Serve,
-    /// Staging + compiling a generating extension.
+    /// Staging a generating extension (once per extension).
     GenextBuild,
-    /// Running a compiled generating extension on static inputs.
-    GenextRun,
 }
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 7] = [
         Phase::Frontend,
         Phase::Bta,
         Phase::Specialize,
@@ -60,7 +58,6 @@ impl Phase {
         Phase::VmExec,
         Phase::Serve,
         Phase::GenextBuild,
-        Phase::GenextRun,
     ];
 
     /// The phase's label value in metrics and traces.
@@ -73,7 +70,6 @@ impl Phase {
             Phase::VmExec => "vm-exec",
             Phase::Serve => "serve",
             Phase::GenextBuild => "genext-build",
-            Phase::GenextRun => "genext-run",
         }
     }
 }

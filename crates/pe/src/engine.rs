@@ -1,9 +1,8 @@
-//! Types shared by the two consumers of the staged-code IR: the
-//! interpretive walker ([`crate::walk`]) and the gen-ext machine
-//! ([`crate::genrun`]).
+//! Types shared by the gen-ext machine ([`crate::genrun`]) and its test
+//! oracle, the recursive walker ([`crate::walk`]).
 //!
-//! Both engines execute the same [`GenProgram`](two4one_vm::GenProgram)
-//! and must agree bit-for-bit on the residual program they emit, so the
+//! Both execute the same [`GenProgram`](two4one_vm::GenProgram) and must
+//! agree bit-for-bit on the residual program they emit, so the
 //! bookkeeping that *shapes* residual code — free-variable tracking,
 //! memoization keys, fallback classification — lives here, written once.
 

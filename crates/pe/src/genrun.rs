@@ -1,18 +1,20 @@
 //! The gen-ext machine: the staged IR executed as bytecode.
 //!
 //! This is the compiled generating extension of the second Futamura
-//! projection: where the walker ([`crate::walk`]) interprets the staged
-//! code with heap-allocated continuation closures and name-keyed
-//! environments, this machine threads instruction pointers directly,
-//! addresses environments by `(up, idx)` slots, and represents the
-//! specialization continuation as an explicit frame stack. Run on the
-//! static inputs, it produces the residual program directly through the
-//! [`CodeBuilder`] — with `two4one-compiler`'s `ObjectBuilder`, the
-//! residual object image, with no interpretive overhead per source node.
+//! projection, and the system's one specializer engine: it threads
+//! instruction pointers directly, addresses environments by `(up, idx)`
+//! slots, and represents the specialization continuation as an explicit
+//! frame stack. Run on the static inputs, it produces the residual
+//! program directly through the [`CodeBuilder`] — with
+//! `two4one-compiler`'s `ObjectBuilder`, the residual object image, with
+//! no interpretive overhead per source node.
 //!
-//! # Bit-identity with the walker
+//! # Bit-identity with the walker oracle
 //!
-//! The machine performs every observable action — gensym draws, builder
+//! The recursive walker ([`crate::walk`]) interprets the same staged code
+//! with heap-allocated continuation closures and name-keyed environments;
+//! it serves only as the reference the machine is tested against. The
+//! machine performs every observable action — gensym draws, builder
 //! calls, memoization probes, observability events — in exactly the order
 //! the walker performs them, so both engines produce bit-identical
 //! residual programs and equal [`SpecStats`] (`crates/pe/tests/genext.rs`
@@ -35,10 +37,13 @@
 //!   nodes by sharing, at O(1) cost per armed guard.
 //!
 //! One deliberate divergence: the machine has no recursion, so
-//! [`Limits::max_depth`](two4one_syntax::limits::Limits::max_depth) — a
-//! guard on the *walker's* Rust stack — does not apply and is ignored
-//! here. All other limits (fuel, deadline, memo cap, code cap) behave
-//! identically.
+//! [`Limits::max_depth`](two4one_syntax::limits::Limits::max_depth)
+//! bounds a count of evaluation steps that rises and rewinds where the
+//! walker's Rust stack does, rather than the stack itself. The count
+//! approximates the walker's depth, so the engines trip the limit at
+//! nearby but not identical points; the sweep compares them with the
+//! guard off. All other limits (fuel, deadline, memo cap, code cap)
+//! behave identically.
 
 use crate::engine::{MemoKey, RCode, Resid, SpecStats, StaticKey};
 use crate::{PeError, SpecOptions};
@@ -129,12 +134,14 @@ enum Term {
     Jump(Symbol),
 }
 
-/// Watermarks captured when a boundary frame is pushed: pending wraps and
-/// armed guards are truncated back to these when the region completes.
+/// Watermarks captured when a boundary frame is pushed: pending wraps,
+/// armed guards and the depth are rewound to these when the region
+/// completes.
 #[derive(Clone, Copy)]
 struct Marks {
     wraps: usize,
     guards: usize,
+    depth: usize,
 }
 
 /// Where a fully evaluated argument list is delivered.
@@ -395,6 +402,7 @@ enum Wrap<B: CodeBuilder> {
 struct Guard<'p, B: CodeBuilder> {
     stack: FStack<'p, B>,
     wraps_len: usize,
+    depth: usize,
     def: u32,
     args: Vec<GVal<B>>,
 }
@@ -431,6 +439,15 @@ pub struct GenRun<'p, B: CodeBuilder> {
     generic: HashMap<Symbol, Symbol>,
     pending_generic: VecDeque<(u32, Symbol)>,
     fuel: u64,
+    /// The walker's recursion depth, reproduced: the walker's Rust stack
+    /// grows by a frame per evaluation step and unwinds only when a
+    /// region completes (or a fallback guard catches), so the machine
+    /// counts evaluation steps since its region began and rewinds at the
+    /// same points. [`Limits::max_depth`] bounds it.
+    ///
+    /// [`Limits::max_depth`]: two4one_syntax::limits::Limits::max_depth
+    depth: usize,
+    max_depth: usize,
     memo_cap: usize,
     code_cap: usize,
     deadline: Deadline,
@@ -458,8 +475,9 @@ pub struct GenRun<'p, B: CodeBuilder> {
 /// respect to `static_args`, producing a residual program through the
 /// given backend. Produces residual programs bit-identical to
 /// [`specialize_staged`](crate::walk::specialize_staged) on the same
-/// staged program (and equal stats), modulo the depth limit, which the
-/// iterative machine does not need and ignores.
+/// staged program (and equal stats), the walker oracle; with a depth
+/// limit set, the two may stop at different points (see the module
+/// docs).
 ///
 /// # Errors
 ///
@@ -492,6 +510,8 @@ pub fn run_genext<B: CodeBuilder>(
         generic: HashMap::new(),
         pending_generic: VecDeque::new(),
         fuel: limits.unfold_fuel.unwrap_or(u64::MAX),
+        depth: 0,
+        max_depth: limits.max_depth.unwrap_or(usize::MAX),
         memo_cap: limits.memo_cap.unwrap_or(usize::MAX),
         code_cap: limits.code_cap.unwrap_or(usize::MAX),
         deadline,
@@ -580,6 +600,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         Marks {
             wraps: self.wraps.len(),
             guards: self.guards.len(),
+            depth: self.depth,
         }
     }
 
@@ -598,10 +619,12 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         }
     }
 
-    /// Expires guards armed above `to` (their region completed),
-    /// recycling the argument snapshots they held.
-    fn expire_guards(&mut self, to: usize) {
-        while self.guards.len() > to {
+    /// Closes the region `marks` were taken at: expires the guards armed
+    /// since (recycling the argument snapshots they held) and rewinds the
+    /// depth.
+    fn close_region(&mut self, marks: Marks) {
+        self.depth = marks.depth;
+        while self.guards.len() > marks.guards {
             if let Some(g) = self.guards.pop() {
                 self.recycle(g.args);
             }
@@ -718,6 +741,16 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
     // ----- evaluation ----------------------------------------------------
 
     fn eval(&mut self, ip: u32, env: GEnv<B>) -> Result<Flow<B>, PeError> {
+        // The walker-equivalent depth (see [`GenRun::depth`]). Bounding it
+        // stops runaway non-tail static recursion, whose fallback replay
+        // otherwise costs time and memory quadratic in the unfold fuel.
+        self.depth += 1;
+        if self.depth > self.max_depth {
+            return Err(PeError::DepthLimit {
+                limit: self.max_depth,
+                unfolds: self.stats.unfolds,
+            });
+        }
         if !self.in_generic {
             self.deadline
                 .check_every(&mut self.ticks, 4096)
@@ -1181,6 +1214,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     self.guards.push(Guard {
                         stack: self.stack.clone(),
                         wraps_len: self.wraps.len(),
+                        depth: self.depth,
                         def: g,
                         args: snap,
                     });
@@ -1326,6 +1360,20 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             });
         }
         self.check_call_limits()?;
+        // A fallback upstream can hand a static parameter residual code
+        // (a call residualized against a generic version returns a
+        // dynamic result, even where the division expects a static one).
+        // No specialization point can be keyed on it: the call targets
+        // the callee's generic version instead.
+        if self.fallback
+            && def
+                .params
+                .iter()
+                .zip(&args)
+                .any(|(p, a)| !p.dynamic && matches!(a, GVal::Dyn(_)))
+        {
+            return self.generic_call_step(def_idx, args);
+        }
         let mut statics = Vec::new();
         let mut keys = Vec::new();
         let mut dyns: Vec<Resid<B::Triv>> = Vec::new();
@@ -1426,7 +1474,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 Frame::LamB { name, fresh, marks } => {
                     // Guards armed inside the body expired when it
                     // completed (the walker's catch frames unwound).
-                    self.expire_guards(marks.guards);
+                    self.close_region(marks);
                     let mut frees = code.fv;
                     frees.retain(|v| !fresh.contains(v));
                     let triv = self
@@ -1445,7 +1493,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     then_code: None,
                     marks,
                 } => {
-                    self.expire_guards(marks.guards);
+                    self.close_region(marks);
                     let e2 = env.clone();
                     self.push(Frame::IfTail {
                         test,
@@ -1462,7 +1510,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     marks,
                     ..
                 } => {
-                    self.expire_guards(marks.guards);
+                    self.close_region(marks);
                     let mut fv = test.fv;
                     fv.union_with(&then.fv);
                     fv.union_with(&code.fv);
@@ -1481,7 +1529,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     state,
                     marks,
                 } => {
-                    self.expire_guards(marks.guards);
+                    self.close_region(marks);
                     match state {
                         JState::JCode => {
                             let jname = self.gensym.fresh("join");
@@ -1573,6 +1621,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 self.stats.note_fallback(&e);
                 self.stack = g.stack;
                 self.wraps.truncate(g.wraps_len);
+                self.depth = g.depth;
                 match self.generic_call_step(g.def, g.args) {
                     Ok(s) => return Ok(s),
                     Err(e2) => {
@@ -1587,6 +1636,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 self.stack = None;
                 self.wraps.clear();
                 self.guards.clear();
+                self.depth = 0;
                 self.in_generic = true;
                 let generic_ip = self.def_at(def_idx)?.generic;
                 return Ok(Step::Eval(generic_ip, env.clone()));
@@ -1609,6 +1659,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         self.stack = None;
         self.wraps.clear();
         self.guards.clear();
+        self.depth = 0;
         self.in_generic = drained_generic;
         // Work-item-level fallback is available once, and never while
         // already emitting a generic body.

@@ -5,19 +5,14 @@
 //! ([`GenProgram`](two4one_vm::GenProgram)): the annotated source is first
 //! *staged* ([`stage`]) into a flat instruction array — variables resolved
 //! to lexical addresses, globals to definition indices, generic fallback
-//! bodies pre-compiled — and specialization proper then executes that IR.
-//! Two consumers exist:
+//! bodies pre-compiled — and the **gen-ext machine** ([`genrun`]) then
+//! runs that IR as bytecode, with explicit continuation frames and
+//! slot-addressed environments: the compiled generating extension of the
+//! second Futamura projection. Staging is the expensive, once-per-program
+//! half; a caller that specializes one program repeatedly stages it once
+//! and calls [`run_genext`] per static input.
 //!
-//! * the interpretive **walker** ([`walk`]) — the classical
-//!   continuation-based engine (Bondorf; Lawall & Danvy), whose
-//!   heap-allocated continuations make residual code come out in A-normal
-//!   form;
-//! * the **gen-ext machine** ([`genrun`]) — the staged IR run as bytecode
-//!   with explicit continuation frames and slot-addressed environments:
-//!   the compiled generating extension of the second Futamura projection.
-//!   It emits bit-identical residual programs to the walker.
-//!
-//! Both are **generic over [`CodeBuilder`](two4one_anf::build::CodeBuilder)** — the reification of
+//! The machine is **generic over [`CodeBuilder`](two4one_anf::build::CodeBuilder)** — the reification of
 //! the paper's Sec. 6.3. With `SourceBuilder` the system is the classical
 //! source-to-source partial evaluator; with the compiler's `ObjectBuilder`
 //! it *is* the fused run-time code generator: monomorphization plays the
@@ -28,22 +23,27 @@
 //! functions marked [`CallPolicy::Memoize`](two4one_syntax::acs::CallPolicy::Memoize) are residualized; each distinct
 //! tuple of static argument values produces one residual definition, driven
 //! from a pending queue so cross-function work does not nest.
+//!
+//! The hidden `walk` module keeps the classical recursive engine
+//! (Bondorf; Lawall & Danvy) over the same IR as a **test oracle**: no
+//! production path calls it, and the bit-identity sweep in
+//! `tests/genext.rs` checks the machine against it.
 
 pub mod engine;
 pub mod genrun;
 pub mod staged;
+#[doc(hidden)]
 pub mod walk;
 
 pub use engine::SpecStats;
 pub use genrun::run_genext;
 pub use staged::stage;
-pub use walk::specialize_staged;
 
 use std::fmt;
 use two4one_anf::build::CodeBuilder;
 use two4one_syntax::acs::AProgram;
 use two4one_syntax::datum::Datum;
-use two4one_syntax::limits::{Deadline, LimitExceeded, LimitKind, Limits};
+use two4one_syntax::limits::{LimitExceeded, LimitKind, Limits};
 use two4one_syntax::prim::Prim;
 use two4one_syntax::symbol::Symbol;
 use two4one_syntax::value::PrimError;
@@ -51,10 +51,9 @@ use two4one_syntax::value::PrimError;
 /// Specializes `entry` with respect to `static_args`, producing a residual
 /// program through the given backend.
 ///
-/// Stages `prog` into the gen-ext IR and runs the interpretive walker over
+/// Stages `prog` into the gen-ext IR and runs the gen-ext machine over
 /// it. Callers that specialize the same program repeatedly should
-/// [`stage`] once and reuse the staged program (or compile it into a
-/// gen-ext and use [`run_genext`]).
+/// [`stage`] once and call [`run_genext`] on the staged program.
 ///
 /// `static_args` are matched positionally against the *static* parameters
 /// of the entry's division; its dynamic parameters become the parameters of
@@ -70,28 +69,15 @@ pub fn specialize<B: CodeBuilder>(
     builder: B,
     options: &SpecOptions,
 ) -> Result<(B::Program, SpecStats), PeError> {
-    let deadline = options.limits.deadline();
-    specialize_with_deadline(prog, entry, static_args, builder, options, deadline)
-}
-
-/// Like [`specialize`], but runs under a caller-supplied [`Deadline`]
-/// instead of starting one from `options.limits.timeout`. This is how a
-/// serving layer threads a per-request deadline or a [`CancelToken`]
-/// (see [`Deadline::with_cancel`]) into the specializer: the token is
-/// checked at the same amortized points as the wall clock, so a
-/// cancellation stops the run mid-specialization.
-///
-/// [`CancelToken`]: two4one_syntax::limits::CancelToken
-pub fn specialize_with_deadline<B: CodeBuilder>(
-    prog: &AProgram,
-    entry: &Symbol,
-    static_args: &[Datum],
-    builder: B,
-    options: &SpecOptions,
-    deadline: Deadline,
-) -> Result<(B::Program, SpecStats), PeError> {
     let staged = stage(prog)?;
-    specialize_staged(&staged, entry, static_args, builder, options, deadline)
+    run_genext(
+        &staged,
+        entry,
+        static_args,
+        builder,
+        options,
+        options.limits.deadline(),
+    )
 }
 
 /// Tuning knobs for specialization.

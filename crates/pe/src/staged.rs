@@ -5,9 +5,8 @@
 //! address or a definition index, flattens the tree into the instruction
 //! array of [`GenProgram`], and pre-stages each definition's *generic*
 //! (all-dynamic) body so graceful fallback at run time needs no
-//! re-staging. The result is consumed by both [`crate::walk`] (the
-//! interpretive reference) and [`crate::genrun`] (the compiled gen-ext
-//! machine).
+//! re-staging. The result is run by [`crate::genrun`] (the gen-ext
+//! machine) and by its test oracle, [`crate::walk`].
 //!
 //! # Scope resolution
 //!

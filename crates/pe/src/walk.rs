@@ -1,4 +1,5 @@
-//! The interpretive walker — Fig. 3 of the paper over the staged IR.
+//! The recursive walker — Fig. 3 of the paper over the staged IR, kept
+//! as the **test oracle** of the gen-ext machine.
 //!
 //! This is the continuation-based offline specializer, re-expressed as a
 //! consumer of [`GenProgram`]: where the original engine recursed over
@@ -6,9 +7,10 @@
 //! the flat staged code. Continuations are heap-allocated closures
 //! (`Kont`), environments are name-keyed, and every action — gensym
 //! draws, builder calls, memo probes, observability events — happens in
-//! exactly the order the tree-walking engine performed them, which is
-//! what the gen-ext machine ([`crate::genrun`]) is tested bit-for-bit
-//! against.
+//! exactly the order the tree-walking engine performed them. No
+//! production path runs it: the gen-ext machine ([`crate::genrun`]) is
+//! the engine, and `tests/genext.rs` checks it bit-for-bit against this
+//! reference, which stays close to the paper's figure.
 //!
 //! Continuation-based partial evaluation (Bondorf; Lawall & Danvy) is
 //! what makes the residual code come out in A-normal form: every residual
@@ -919,6 +921,17 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
             });
         }
         self.check_call_limits()?;
+        // A static parameter holding residual code after an upstream
+        // fallback: call the generic version (as the gen-ext machine does).
+        if self.fallback
+            && def
+                .params
+                .iter()
+                .zip(&args)
+                .any(|(p, a)| !p.dynamic && matches!(a, SVal::Dyn(_)))
+        {
+            return self.generic_call(def_idx, def, args, &k);
+        }
         let mut statics = Vec::new();
         let mut keys = Vec::new();
         let mut dyns: Vec<Resid<B::Triv>> = Vec::new();

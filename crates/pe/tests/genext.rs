@@ -6,7 +6,8 @@
 use two4one_anf::build::SourceBuilder;
 use two4one_bta::{bta_with, Division, Options};
 use two4one_compiler::ObjectBuilder;
-use two4one_pe::{run_genext, specialize_staged, stage, SpecOptions};
+use two4one_pe::walk::specialize_staged;
+use two4one_pe::{run_genext, stage, SpecOptions};
 use two4one_syntax::acs::{CallPolicy, BT};
 use two4one_syntax::datum::Datum;
 use two4one_syntax::limits::Limits;

@@ -74,8 +74,8 @@ use registry::{Backedge, Registry};
 use stats::ServeStats;
 use two4one::obs;
 use two4one::{
-    CancelToken, CompiledGenExt, Datum, Epoch, Error, ExecProfile, GenExt, Image, LimitKind,
-    Limits, PeError, SpecOptions, SpecStats,
+    CancelToken, Datum, Epoch, Error, ExecProfile, GenExt, Image, LimitKind, Limits, PeError,
+    SpecOptions, SpecStats,
 };
 use two4one_syntax::stack::DEFAULT_STACK_BYTES;
 use two4one_syntax::symbol::intern_contention;
@@ -386,7 +386,7 @@ pub struct RestoreReport {
 /// gen-ext snapshot file.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenextRestoreReport {
-    /// Compiled gen-exts restored into the registry's artifact cache.
+    /// Staged programs restored into live registrations.
     pub restored: u64,
     /// Records rejected: bad checksum, torn tail, bad header, or an
     /// undecodable staged program.
@@ -767,7 +767,11 @@ impl SpecService {
 
     /// Every registered program as `(name, live epoch)`, sorted by name.
     pub fn programs(&self) -> Vec<(Arc<str>, Epoch)> {
-        self.programs.programs()
+        self.programs
+            .programs()
+            .into_iter()
+            .map(|(name, epoch, _)| (name, epoch))
+            .collect()
     }
 
     /// Specializes the program registered under `name` to `statics`,
@@ -1086,108 +1090,91 @@ impl SpecService {
         let bytes = std::fs::read(path)?;
         Ok(self.restore_bytes(&bytes))
     }
-
-    // ----- the gen-ext artifact cache ------------------------------------
 }
 
 impl Core {
-    /// The compiled gen-ext for a resolved `(name, epoch)`: answered from
-    /// the registry's artifact cache, or built now — once per generation;
-    /// later fills for the same generation reuse it. A build the
-    /// redefinition raced — the generation died while staging ran — is
-    /// still returned for *this* fill (its waiters predate the
-    /// redefinition, exactly like a tombstoned result publication) but
-    /// never cached, and counts as an epoch conflict. A staging failure
-    /// returns `None`: the fill falls back to the interpreted walker,
-    /// which surfaces the underlying error in its own run.
-    fn compiled_genext(&self, backedge: &Backedge, ext: &GenExt) -> Option<Arc<CompiledGenExt>> {
-        let (name, epoch) = backedge;
-        if let Some(compiled) = self.programs.compiled(name, *epoch) {
-            return Some(compiled);
+    /// Stages `ext` for a fill unless it (or a clone — every registered
+    /// generation's requests share one) is staged already, counting the
+    /// build. A build that a redefinition raced — the generation died
+    /// before staging ran — still serves *this* fill (its waiters predate
+    /// the redefinition, exactly like a tombstoned result publication),
+    /// but is wasted work and counts as an epoch conflict. A staging
+    /// failure is left for the fill's own specializer call to report.
+    fn stage(&self, ext: &GenExt, backedge: Option<&Backedge>) {
+        if !matches!(ext.stage(), Ok(true)) {
+            return;
         }
-        let compiled = match ext.compile() {
-            Ok(c) => Arc::new(c),
-            Err(_) => return None,
-        };
         ServeStats::bump(&self.stats.genext_builds);
-        if !self.programs.store_compiled(name, *epoch, compiled.clone()) {
-            ServeStats::bump(&self.stats.epoch_conflicts);
-            obs::event(obs::EventKind::EpochConflict);
+        if let Some((name, epoch)) = backedge {
+            if self.programs.epoch_of(name) != Some(*epoch) {
+                ServeStats::bump(&self.stats.epoch_conflicts);
+                obs::event(obs::EventKind::EpochConflict);
+            }
         }
-        Some(compiled)
     }
 }
 
 impl SpecService {
-    /// The compiled generating extension cached for the *live* generation
-    /// of `name`: present once the generation has served at least one
-    /// cache miss (the first miss builds it), `None` for unregistered
-    /// names and immediately after a redefinition — the artifact dies
-    /// with its generation, exactly like the residual cache entries.
-    pub fn genext_of(&self, name: &str) -> Option<Arc<CompiledGenExt>> {
-        let epoch = self.programs.epoch_of(name)?;
-        self.programs.compiled(name, epoch)
+    /// The generating extension of the *live* generation of `name`, once
+    /// it is staged: present after the generation's first fill (or a
+    /// gen-ext restore), `None` for unregistered names and immediately
+    /// after a redefinition — the staged program dies with its
+    /// generation, exactly like the residual cache entries.
+    pub fn genext_of(&self, name: &str) -> Option<GenExt> {
+        let (_, _, ext) = self.programs.resolve(name)?;
+        ext.is_staged().then_some(ext)
     }
 
-    /// Serializes every compiled generating extension the registry holds
-    /// into a `.t4og` gen-ext snapshot: CRC-32-checked records (name,
+    /// Serializes the staged program of every live registration that has
+    /// one into a `.t4og` gen-ext snapshot: CRC-32-checked records (name,
     /// source identity, entry, epoch, staged wire form) in name order, so
     /// equal registry contents produce identical bytes.
     pub fn genext_snapshot_bytes(&self) -> Vec<u8> {
         let records: Vec<GenextSnapRecord> = self
             .programs
-            .compiled_entries()
+            .programs()
             .into_iter()
-            .map(
-                |(name, epoch, identity, entry, compiled)| GenextSnapRecord {
+            .filter(|(_, _, ext)| ext.is_staged())
+            .filter_map(|(name, epoch, ext)| {
+                Some(GenextSnapRecord {
                     name: name.to_string(),
-                    identity,
-                    entry,
+                    identity: ext.cache_identity().to_string(),
+                    entry: ext.entry().as_str().to_string(),
                     epoch: epoch.get(),
-                    genext: compiled.to_bytes().to_vec(),
-                },
-            )
+                    genext: ext.to_bytes().ok()?.to_vec(),
+                })
+            })
             .collect();
         persist::encode_genexts(&records)
     }
 
-    /// Restores compiled gen-exts from snapshot bytes into the registry's
-    /// artifact cache, so the first cold miss of each restored program
-    /// skips the gen-ext build entirely (cross-process warm start).
+    /// Restores staged programs from snapshot bytes into the live
+    /// registrations they were staged from, so the first cold miss of
+    /// each restored program skips staging entirely (cross-process warm
+    /// start).
     ///
     /// The same judgement as [`SpecService::restore_bytes`] applies:
     /// corrupt records are quarantined; structurally intact records whose
     /// program is unregistered, or whose recorded source identity/entry
     /// no longer match the live registration, are dropped as stale —
     /// epochs are per-process, content identity is what travels. A
-    /// generation that already built its artifact keeps it.
+    /// generation that is already staged keeps its own program.
     pub fn restore_genexts_bytes(&self, bytes: &[u8]) -> GenextRestoreReport {
         let decoded = persist::decode_genexts(bytes);
         let mut restored = 0u64;
         let mut quarantined = decoded.quarantined;
         let mut stale_dropped = 0u64;
         for rec in decoded.records {
-            let live = self
-                .programs
-                .epoch_for_identity(&rec.name, &rec.identity, &rec.entry)
-                .and_then(|epoch| Some((epoch, self.programs.resolve(&rec.name)?.2)));
-            let Some((epoch, ext)) = live else {
+            let live = self.programs.resolve(&rec.name).filter(|(_, _, ext)| {
+                ext.cache_identity() == rec.identity && ext.entry().as_str() == rec.entry
+            });
+            let Some((_, _, ext)) = live else {
                 stale_dropped += 1;
                 continue;
             };
-            let compiled = match CompiledGenExt::from_bytes(&rec.genext, ext.options().clone()) {
-                Ok(c) => Arc::new(c),
-                Err(_) => {
-                    quarantined += 1;
-                    continue;
-                }
-            };
-            if self.programs.store_compiled(&rec.name, epoch, compiled) {
-                restored += 1;
-            } else {
-                // Redefined between the identity check and the store:
-                // the record just became stale.
-                stale_dropped += 1;
+            match ext.restore_staged(&rec.genext) {
+                Ok(_) => restored += 1,
+                Err(_) => quarantined += 1,
             }
         }
         GenextRestoreReport {
@@ -1197,7 +1184,7 @@ impl SpecService {
         }
     }
 
-    /// Snapshots the gen-ext artifact cache to `path` crash-safely
+    /// Snapshots the staged programs to `path` crash-safely
     /// (temp-file-and-rename, like [`SpecService::snapshot`]).
     ///
     /// # Errors
@@ -1212,7 +1199,7 @@ impl SpecService {
         std::fs::rename(&tmp, path)
     }
 
-    /// Restores the gen-ext artifact cache from a `.t4og` snapshot file.
+    /// Restores staged programs from a `.t4og` snapshot file.
     ///
     /// # Errors
     ///
@@ -1474,13 +1461,9 @@ impl SpecService {
 
 impl Core {
     /// Runs one cache fill (with escalated-budget retry) on the right
-    /// stack, converting panics into [`ServeError::Worker`].
-    ///
-    /// A fill for a *registered* program runs through the program's
-    /// compiled generating extension (built once per generation, cached
-    /// in the registry — see [`SpecService::genext_of`]); an anonymous
-    /// fill runs the interpreted specializer, since with no `(name,
-    /// epoch)` there is nothing to key the artifact on.
+    /// stack, converting panics into [`ServeError::Worker`]. The fill
+    /// stages the generating extension if nothing has yet (see
+    /// [`SpecService::genext_of`]).
     #[allow(clippy::type_complexity)]
     fn run_fill(
         &self,
@@ -1495,12 +1478,8 @@ impl Core {
             if let Some(hook) = &self.fill_hook {
                 (hook.0)();
             }
-            let compiled = backedge.and_then(|be| self.compiled_genext(be, ext));
-            let govern = |options: &SpecOptions, token: Option<&CancelToken>| match &compiled {
-                Some(c) => c.specialize_object_governed(statics, options, token),
-                None => ext.specialize_object_governed(statics, options, token),
-            };
-            let mut result = govern(ext.options(), token);
+            self.stage(ext, backedge);
+            let mut result = ext.specialize_object_governed(statics, ext.options(), token);
             let mut attempt: u32 = 0;
             while attempt < self.retry.max_retries {
                 let transient = matches!(
@@ -1522,7 +1501,7 @@ impl Core {
                 ));
                 let factor = self.retry.escalation.max(1).saturating_pow(attempt);
                 let escalated = escalate_options(ext.options(), factor);
-                match govern(&escalated, token) {
+                match ext.specialize_object_governed(statics, &escalated, token) {
                     // A bigger budget got at least as far: keep it. Stop
                     // as soon as a run finishes without degrading.
                     Ok((image, stats)) => {
@@ -1673,7 +1652,7 @@ impl Core {
         }
     }
 
-    /// Runs the Tier-0 fill: generic compilation with no unfolding —
+    /// Runs the Tier-0 fill: generic specialization with no unfolding —
     /// the exact recipe of the breaker's fallback path, so a Tier-0
     /// response is bit-identical to the fallback image for the same
     /// request. Unlike the fallback it *is* published into the cache
@@ -1690,6 +1669,7 @@ impl Core {
             if let Some(hook) = &self.fill_hook {
                 (hook.0)();
             }
+            self.stage(ext, None);
             ext.specialize_object_governed(statics, &generic_options(ext), token)
         };
         if spawn_stack {
@@ -1765,18 +1745,10 @@ impl Core {
             // same escalation ladder as the request-path retry.
             escalate_options(cand.ext.options(), factor)
         };
-        // First promotion of a generation also compiles its generating
-        // extension here — off the request path — and caches it in the
-        // registry for every later build of the same generation.
-        let compiled = cand
-            .backedge
-            .as_ref()
-            .and_then(|be| self.compiled_genext(be, &cand.ext));
-        let built = catch_unwind(AssertUnwindSafe(|| match &compiled {
-            Some(c) => c.specialize_object_governed(&cand.statics, &options, None),
-            None => cand
-                .ext
-                .specialize_object_governed(&cand.statics, &options, None),
+        self.stage(&cand.ext, cand.backedge.as_ref());
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            cand.ext
+                .specialize_object_governed(&cand.statics, &options, None)
         }));
         let (image, spec_stats) = match built {
             Ok(Ok(r)) => r,
@@ -1868,7 +1840,10 @@ impl SpecService {
     /// source program.
     fn breaker_fallback(&self, ext: &GenExt, statics: &[Datum], spawn_stack: bool) -> ServeResult {
         let options = generic_options(ext);
-        let run = || ext.specialize_object_governed(statics, &options, None);
+        let run = || {
+            self.stage(ext, None);
+            ext.specialize_object_governed(statics, &options, None)
+        };
         let result = if spawn_stack {
             run_on_stack(self.stack_bytes, run)
         } else {

@@ -147,12 +147,13 @@ pub struct ServeSnapshot {
     /// In-flight fills that finished after their epoch died: the result
     /// was served to the requests that predate the redefinition, but the
     /// publication was tombstoned instead of cached. Also counts
-    /// compiled gen-ext builds that outlived their generation — the
-    /// artifact served its own fill but was never cached.
+    /// stagings that outlived their generation — the staged program
+    /// served its own fill and died with the generation.
     pub epoch_conflicts: u64,
-    /// Compiled generating extensions built by the service (one per
-    /// registered generation that took at least one cache miss; warm
-    /// traffic and rebuild-free fills do not move this).
+    /// Generating extensions the service's fills staged (one per
+    /// registered generation, or per anonymous extension and its clones,
+    /// that took at least one cache miss; warm traffic, fills of an
+    /// already-staged extension and restored stagings do not move this).
     pub genext_builds: u64,
 }
 

@@ -1340,8 +1340,12 @@ fn genext_builds_once_per_generation_and_dies_on_redefine() {
     service.specialize_named("hot", &int(3)).expect("warm");
     assert_eq!(service.stats().genext_builds, 1, "one build per generation");
     assert!(Arc::ptr_eq(
-        &built,
-        &service.genext_of("hot").expect("still cached")
+        built.staged().expect("staged"),
+        service
+            .genext_of("hot")
+            .expect("still cached")
+            .staged()
+            .expect("staged")
     ));
 
     // Redefinition kills the artifact with its generation…
@@ -1359,29 +1363,28 @@ fn genext_builds_once_per_generation_and_dies_on_redefine() {
 }
 
 #[test]
-fn genext_and_walker_serve_identical_images() {
-    // The compiled gen-ext path (named fills) and the interpreted walker
-    // path (anonymous fills) must produce bit-identical residual images
-    // and equal specializer stats.
+fn named_and_anonymous_fills_serve_identical_images() {
+    // Named fills (through the registration's extension) and anonymous
+    // fills (through the caller's extension) run the same engine and must
+    // produce bit-identical residual images and equal specializer stats.
+    // Each stages its extension once: the registered generation's, and
+    // the anonymous extension shared by the caller's clones.
     let named = SpecService::new();
     named.register("hot", &epoch_ext(1));
     let anon = SpecService::new();
+    let anon_ext = epoch_ext(1);
     for s in [0i64, 1, 5] {
         let n = named.specialize_named("hot", &int(s)).expect("named");
-        let w = anon.specialize(&epoch_ext(1), &int(s)).expect("anon");
+        let w = anon.specialize(&anon_ext.clone(), &int(s)).expect("anon");
         assert_eq!(
             two4one::encode_image(&n.image),
             two4one::encode_image(&w.image),
-            "s={s}: gen-ext image differs from walker image"
+            "s={s}: named image differs from anonymous image"
         );
         assert_eq!(n.stats, w.stats);
     }
     assert_eq!(named.stats().genext_builds, 1);
-    assert_eq!(
-        anon.stats().genext_builds,
-        0,
-        "anonymous fills stay interpreted"
-    );
+    assert_eq!(anon.stats().genext_builds, 1, "one staging per extension");
 }
 
 #[test]
@@ -1540,33 +1543,26 @@ fn tier0_promotion_swaps_in_specialized_image() {
 }
 
 #[test]
-fn tier0_genext_builds_in_background_not_on_first_fill() {
+fn tier0_first_fill_stages_once_for_every_promotion() {
     let service = SpecService::with_config(tier0_config(1, 1));
     service.register("hot", &epoch_ext(1));
+    assert!(service.genext_of("hot").is_none(), "register never stages");
 
-    // The cold named fill returns without staging the generating
-    // extension: that cost moved off the request path entirely.
+    // The cold named fill runs the generic specialization, which stages
+    // the generation's generating extension.
     let cold = service.specialize_named("hot", &int(4)).expect("cold");
     assert_eq!(decode(&cold), (1, 4));
-    assert_eq!(
-        service.stats().genext_builds,
-        0,
-        "gen-ext built on request path"
-    );
-    assert!(service.genext_of("hot").is_none());
+    assert_eq!(service.stats().genext_builds, 1);
+    assert!(service.genext_of("hot").is_some());
 
     // The first warm hit crosses the threshold; the promotion worker
-    // compiles the gen-ext and caches it for the generation.
+    // reuses the staged program.
     let warm = service.specialize_named("hot", &int(4)).expect("warm");
     assert_eq!(decode(&warm), (1, 4));
-    assert!(
-        eventually(|| service.stats().genext_builds == 1 && service.genext_of("hot").is_some()),
-        "background gen-ext build never happened"
-    );
     assert!(eventually(|| service.tier_stats().promotions >= 1));
+    assert_eq!(service.stats().genext_builds, 1, "promotion restaged");
 
-    // Later promotions of the same generation reuse the compiled
-    // gen-ext instead of rebuilding it.
+    // Later promotions of the same generation reuse it too.
     service
         .specialize_named("hot", &int(5))
         .expect("second key cold");
@@ -1662,4 +1658,116 @@ fn tier0_promotion_vs_redefine_hammer_never_swaps_stale() {
         tier.promotions, tier.swap_epoch_conflicts, tier.demotions
     );
     assert_eq!(tier.demotions, 0, "specializer failed during the hammer");
+}
+
+// ---------------------------------------------------------------------
+// Generic fills on the interpreter workloads
+// ---------------------------------------------------------------------
+
+/// An interpreter workload: the interpreter source, its entry, its
+/// call policies, the static program it interprets, and dynamic inputs.
+struct Interpreter {
+    name: &'static str,
+    src: &'static str,
+    entry: &'static str,
+    policies: Vec<(&'static str, two4one::CallPolicy)>,
+    program: Datum,
+    inputs: Vec<Datum>,
+}
+
+fn interpreters() -> Vec<Interpreter> {
+    vec![
+        Interpreter {
+            name: "mixwell",
+            src: two4one_langs::MIXWELL_INTERP,
+            entry: "mixwell-run",
+            policies: two4one_langs::mixwell_policies(),
+            program: two4one_langs::mixwell_program(),
+            inputs: [2, 11, 25].map(|n| Datum::list([Datum::Int(n)])).to_vec(),
+        },
+        Interpreter {
+            name: "lazy",
+            src: two4one_langs::LAZY_INTERP,
+            entry: "lazy-run",
+            policies: two4one_langs::lazy_policies(),
+            program: two4one_langs::lazy_program(),
+            inputs: [(3, 4), (0, 1), (5, 2)]
+                .map(|(a, b)| Datum::list([Datum::Int(a), Datum::Int(b)]))
+                .to_vec(),
+        },
+    ]
+}
+
+impl Interpreter {
+    fn ext(&self) -> (two4one::cs::Program, two4one::GenExt) {
+        let pgg = self
+            .policies
+            .iter()
+            .fold(Pgg::new(), |p, (name, pol)| p.policy(name, *pol));
+        let program = pgg.parse(self.src).expect("parse interpreter");
+        let ext = pgg
+            .cogen(
+                &program,
+                self.entry,
+                &Division::new([BT::Static, BT::Dynamic]),
+            )
+            .expect("cogen interpreter");
+        (program, ext)
+    }
+
+    /// Runs `image` on every dynamic input and compares each answer with
+    /// the interpreter run on the static program and that input.
+    fn check(&self, route: &str, program: &two4one::cs::Program, outcome: &SpecOutcome) {
+        for input in &self.inputs {
+            let expect =
+                two4one::interpret(program, self.entry, &[self.program.clone(), input.clone()])
+                    .expect("interpret");
+            let got = two4one::run_image(&outcome.image, self.entry, std::slice::from_ref(input))
+                .unwrap_or_else(|e| panic!("{} {route}: run on {input}: {e}", self.name));
+            assert_eq!(
+                got.value, expect.value,
+                "{} {route}: input {input}",
+                self.name
+            );
+        }
+    }
+}
+
+#[test]
+fn tier0_and_breaker_generic_fills_serve_interpreter_workloads() {
+    for w in interpreters() {
+        let (program, ext) = w.ext();
+        let statics = [w.program.clone()];
+
+        // Tier-0 first touch: the generic image answers the miss.
+        let tiered = SpecService::with_config(tier0_config(u64::MAX, 1));
+        tiered.register(w.name, &ext);
+        let first = tiered
+            .specialize_named(w.name, &statics)
+            .unwrap_or_else(|e| panic!("{} tier0: {e}", w.name));
+        assert_eq!(tiered.tier_stats().tier0_served, 1);
+        assert_eq!(tiered.stats().spec_runs, 0);
+        w.check("tier0", &program, &first);
+
+        // Forced breaker fallback: one hard failure (a static-argument
+        // count mismatch) opens the breaker; the next request gets the
+        // uncached generic image.
+        let broken = SpecService::with_config(ServeConfig {
+            breaker: BreakerPolicy {
+                threshold: 1,
+                cooldown: Duration::from_secs(600),
+            },
+            ..ServeConfig::default()
+        });
+        broken.register(w.name, &ext);
+        let bad = [w.program.clone(), Datum::Int(0)];
+        broken
+            .specialize_named(w.name, &bad)
+            .expect_err("arity mismatch");
+        let fallback = broken
+            .specialize_named(w.name, &statics)
+            .unwrap_or_else(|e| panic!("{} breaker: {e}", w.name));
+        assert_eq!(broken.stats().breaker_open, 1);
+        w.check("breaker", &program, &fallback);
+    }
 }

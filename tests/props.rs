@@ -4,8 +4,8 @@
 //! reproduces it.
 //!
 //! Programs are generated as `Send`-able sketches and materialized inside
-//! a large-stack worker thread (syntax trees use `Rc` internally and the
-//! engines recurse deeply). Random programs can diverge, so every engine
+//! a large-stack worker thread (the interpreter and the code emitters
+//! recurse deeply). Random programs can diverge, so every engine
 //! runs with fuel; a case where any engine times out is skipped — the
 //! properties quantify over the *decidable* cases.
 
